@@ -2,12 +2,9 @@ GO ?= go
 
 # Packages whose tests exercise concurrent machinery (data plane,
 # metrics hot paths, quorum lock, full-stack sync); the race detector
-# runs over exactly these in `make test-race` and `make check`.
-RACE_PKGS = ./internal/erasure/... ./internal/gf256/... ./internal/transfer/... \
-	./internal/obs/... ./internal/qlock/... ./internal/core/... ./internal/health/... \
-	./internal/journal/... ./internal/localfs/... ./internal/deltasync/... \
-	./internal/daemon/... ./internal/trial/... ./internal/netsim/... ./internal/scrub/... \
-	./internal/capacity/...
+# runs over exactly these in `make test-race`, `make check` and
+# scripts/check.sh. The list lives in scripts/race-packages.
+RACE_PKGS = $(shell cat scripts/race-packages)
 
 # Coverage gate: the repo total must not drop below the recorded
 # baseline, and the observability layer is held to a higher bar.
@@ -58,7 +55,7 @@ bench:
 # crash-recovery, quota-exhaustion, and data-corruption tests under
 # the race detector with a generous timeout.
 chaos:
-	$(GO) test -race -timeout 15m -run 'Chaos|Outage|Failover|Hedge|Flaky|Breaker|Guard|Degraded|Crash|Recover|Corrupt|Scrub|Quota' \
+	$(GO) test -race -timeout 15m -run 'Chaos|Outage|Failover|Hedge|Flaky|Breaker|Observed|Degraded|Crash|Recover|Corrupt|Scrub|Quota' \
 		./internal/core/... ./internal/transfer/... ./internal/health/... \
 		./internal/qlock/... ./internal/cloudsim/... ./internal/scrub/... \
 		./internal/capacity/...

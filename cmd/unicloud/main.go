@@ -25,6 +25,7 @@ import (
 	"unidrive/internal/cloudhttp"
 	"unidrive/internal/cloudsim"
 	"unidrive/internal/obs"
+	"unidrive/internal/transfer"
 )
 
 func main() {
@@ -46,10 +47,11 @@ func run() error {
 	if *flaky > 0 {
 		backend = cloudsim.NewFlaky(backend, *flaky, *seed)
 	}
-	// Instrument the backend so every API call this server executes
-	// shows up at /debug/unidrive (and /debug/vars via expvar).
+	// Observe the backend's calls in the op table only, so every API
+	// call this server executes shows up at /debug/unidrive (and
+	// /debug/vars via expvar).
 	reg := obs.NewRegistry()
-	backend = obs.Instrument(backend, reg, nil)
+	backend = transfer.Observe(backend, nil, transfer.Config{Obs: reg})
 	handler := cloudhttp.NewHandler(backend)
 	handler.EnableDebug(reg)
 	obs.PublishExpvar("unidrive", reg)

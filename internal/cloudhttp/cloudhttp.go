@@ -73,7 +73,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // GET /debug/unidrive returns reg's Snapshot as JSON, and GET
 // /debug/vars serves the process's expvar page (use obs.PublishExpvar
 // to include reg there too). Call once, before serving; reg is
-// typically the registry whose Instrument wrapper sits around this
+// typically the registry of the transfer.Observed wrapper around this
 // handler's backend, so the snapshot reflects exactly the API calls
 // this server executed.
 func (h *Handler) EnableDebug(reg *obs.Registry) {

@@ -9,6 +9,7 @@ import (
 
 	"unidrive/internal/cloudsim"
 	"unidrive/internal/obs"
+	"unidrive/internal/transfer"
 )
 
 // TestDebugEndpointReflectsTraffic drives real HTTP operations through
@@ -17,7 +18,7 @@ import (
 func TestDebugEndpointReflectsTraffic(t *testing.T) {
 	store := cloudsim.NewStore("observed", 0)
 	reg := obs.NewRegistry()
-	handler := NewHandler(obs.Instrument(cloudsim.NewDirect(store), reg, nil))
+	handler := NewHandler(transfer.Observe(cloudsim.NewDirect(store), nil, transfer.Config{Obs: reg}))
 	handler.EnableDebug(reg)
 	srv := httptest.NewServer(handler)
 	t.Cleanup(srv.Close)

@@ -121,27 +121,33 @@ type Config struct {
 	// release is abandoned after this long (the flag files expire on
 	// their own after LockExpiry). Default 10s.
 	ReleaseTimeout time.Duration
-	// Obs, when non-nil, receives the client's full telemetry: every
-	// Web API call of every cloud (per-cloud op table), the transfer
+	// Obs, Health and Capacity are the observers of every Web API
+	// call. New wraps each cloud once in transfer.Observed, which gates
+	// the call on the cloud's breaker (Health), times the real request
+	// once with Clock, and fans the outcome out to the op table (Obs),
+	// the breaker, the quota tracker (Capacity) and the bandwidth
+	// prober. A breaker-rejected call records nothing else; a quota
+	// rejection is never breaker evidence. Share this config's Clock and
+	// Obs when building the trackers.
+	//
+	// Obs, when non-nil, receives the client's full telemetry: the
+	// per-cloud op table (one row per real request), the transfer
 	// engine's counters, the prober's throughput gauges, and the
 	// quorum lock's protocol counters.
 	Obs *obs.Registry
-	// Health, when non-nil, adds per-cloud circuit breakers: every
-	// cloud is wrapped in a breaker guard, the transfer engine fails
-	// blocks over to healthy clouds when a breaker opens (and hedges
-	// straggling downloads), and the quorum lock skips open-breaker
-	// clouds. Build one with health.NewDefaultTracker, sharing the
-	// same Clock and Obs as this config.
+	// Health, when non-nil, adds per-cloud circuit breakers: an open
+	// breaker fails calls fast, the transfer engine fails blocks over
+	// to healthy clouds (and hedges straggling downloads), and the
+	// quorum lock skips open-breaker clouds. Build one with
+	// health.NewDefaultTracker.
 	Health *health.Tracker
 	// Capacity, when non-nil, adds per-cloud quota-exhaustion tracking:
-	// every cloud is wrapped in a capacity observer (so each real
-	// ErrQuotaExceeded is counted exactly once), the transfer engine
-	// stops planning uploads onto Full clouds and re-plans quota-
-	// rejected blocks onto clouds with space, segments that cannot
-	// reach their full placement commit thin (≥ K blocks) and are
-	// re-expanded by scrub/rebalance when space returns. A Full cloud
-	// keeps serving downloads, lists and lock traffic. Build one with
-	// capacity.NewDefaultTracker, sharing this config's Clock and Obs.
+	// the transfer engine stops planning uploads onto Full clouds and
+	// re-plans quota-rejected blocks onto clouds with space, segments
+	// that cannot reach their full placement commit thin (≥ K blocks)
+	// and are re-expanded by scrub/rebalance when space returns. A Full
+	// cloud keeps serving downloads, lists and lock traffic. Build one
+	// with capacity.NewDefaultTracker.
 	Capacity *capacity.Tracker
 	// ScrubRate caps the anti-entropy scrubber's block fetches per
 	// second (see Client.Scrub); 0 leaves the scrub unpaced.
@@ -208,14 +214,10 @@ type Client struct {
 	cfg    Config
 	params sched.Params
 
-	clouds  []cloud.Interface
-	names   []string
+	cloudStack
 	folder  localfs.Folder
 	scanner *localfs.Scanner
 	chnk    *chunker.Chunker
-	engine  *transfer.Engine
-	store   *deltasync.Store
-	locks   *qlock.Manager
 	changes *meta.ChangedFileList
 	journal *journal.Journal
 	// crash is the test-only seeded crash harness (see crash.go).
@@ -258,7 +260,13 @@ func New(clouds []cloud.Interface, folder localfs.Folder, cfg Config) (*Client, 
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	cipher, err := metacrypt.New(cfg.CipherAlg, cfg.Passphrase)
+	// Every cloud's traffic — version checks, metadata, lock flags,
+	// blocks — doubles as an in-channel bandwidth probe (paper §6.2), so
+	// the schedulers have a throughput ranking before the first data
+	// block moves.
+	prober := sched.NewProber(0)
+	prober.SetObs(cfg.Obs)
+	stack, err := newCloudStack(clouds, prober, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -266,75 +274,18 @@ func New(clouds []cloud.Interface, folder localfs.Folder, cfg Config) (*Client, 
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(clouds))
-	for i, c := range clouds {
-		names[i] = c.Name()
-	}
-	sort.Strings(names)
-	// Every cloud is wrapped so that ALL traffic — version checks,
-	// metadata, lock flags, blocks — doubles as an in-channel
-	// bandwidth probe (paper §6.2). Control-plane calls touch every
-	// cloud early, so the schedulers have a throughput ranking before
-	// the first data block moves.
-	prober := sched.NewProber(0)
-	prober.SetObs(cfg.Obs)
-	probed := make([]cloud.Interface, len(clouds))
-	for i, c := range clouds {
-		// The instrumenting wrapper sits directly on the raw connector
-		// so one recorded op-table row is one real API request; the
-		// breaker guard stacks above it (a rejected call is not an API
-		// request and must not appear in the op table), the probing
-		// wrapper on top.
-		if cfg.Obs != nil {
-			c = obs.Instrument(c, cfg.Obs, cfg.Clock)
-		}
-		// The capacity observer sits between the instrument and the
-		// breaker guard: it must see exactly the requests that reached
-		// the provider (quota rejections reconcile one-for-one against
-		// the simulator in chaos soaks), and a breaker fail-fast is not
-		// capacity evidence.
-		c = cfg.Capacity.Wrap(c)
-		if cfg.Health != nil {
-			c = cfg.Health.Wrap(c)
-		}
-		probed[i] = transfer.NewProbing(c, prober, cfg.Clock)
-	}
 	cl := &Client{
-		cfg:     cfg,
-		params:  params,
-		clouds:  probed,
-		names:   names,
-		folder:  folder,
-		scanner: localfs.NewScanner(folder),
-		chnk:    chnk,
-		engine: transfer.New(probed, prober, transfer.Config{
-			ConnsPerCloud: cfg.ConnsPerCloud,
-			Clock:         cfg.Clock,
-			Obs:           cfg.Obs,
-			Health:        cfg.Health,
-			Capacity:      cfg.Capacity,
-			Fair:          cfg.Fair,
-			Tenant:        cfg.TenantID,
-		}),
-		// LazyBase: the client never needs the store's full-image encode
-		// on commits that don't rotate — with event-driven passes the
-		// commit rate goes up and the per-commit cost must stay
-		// O(changes), not O(folder).
-		store: deltasync.New(probed, cipher, deltasync.Config{
-			Device: cfg.Device, LazyBase: true, Obs: cfg.Obs,
-		}),
-		locks: qlock.New(probed, qlock.Config{
-			Device: cfg.Device,
-			Expiry: cfg.LockExpiry,
-			Clock:  cfg.Clock,
-			Obs:    cfg.Obs,
-			Health: healthGate(cfg.Health),
-		}),
-		changes:   meta.NewChangedFileList(),
-		last:      meta.NewImage(),
-		segData:   make(map[string][]byte),
-		coders:    make(map[[2]int]*erasure.Coder),
-		recovered: make(map[string]map[int]string),
+		cfg:        cfg,
+		params:     params,
+		cloudStack: stack,
+		folder:     folder,
+		scanner:    localfs.NewScanner(folder),
+		chnk:       chnk,
+		changes:    meta.NewChangedFileList(),
+		last:       meta.NewImage(),
+		segData:    make(map[string][]byte),
+		coders:     make(map[[2]int]*erasure.Coder),
+		recovered:  make(map[string]map[int]string),
 	}
 	// The intent journal lives inside the sync folder; a damaged file
 	// (possible only on non-durable folders) resets to empty rather
@@ -348,6 +299,58 @@ func New(clouds []cloud.Interface, folder localfs.Folder, cfg Config) (*Client, 
 	}
 	cl.journal = jl
 	return cl, nil
+}
+
+// cloudStack is everything the client builds over one cloud set: the
+// clouds, each wrapped once in transfer.Observed, and the transfer
+// engine, metadata store and quorum lock over the wrapped clouds. New
+// and SetClouds both build it with newCloudStack, so a cloud-set
+// change keeps the client's telemetry, breakers, quota tracking and
+// fair-share slot.
+type cloudStack struct {
+	clouds []cloud.Interface
+	names  []string // sorted
+	engine *transfer.Engine
+	store  *deltasync.Store
+	locks  *qlock.Manager
+}
+
+func newCloudStack(raw []cloud.Interface, prober *sched.Prober, cfg Config) (cloudStack, error) {
+	cipher, err := metacrypt.New(cfg.CipherAlg, cfg.Passphrase)
+	if err != nil {
+		return cloudStack{}, err
+	}
+	tcfg := transfer.Config{
+		ConnsPerCloud: cfg.ConnsPerCloud,
+		Clock:         cfg.Clock,
+		Obs:           cfg.Obs,
+		Health:        cfg.Health,
+		Capacity:      cfg.Capacity,
+		Fair:          cfg.Fair,
+		Tenant:        cfg.TenantID,
+	}
+	s := cloudStack{clouds: make([]cloud.Interface, len(raw)), names: make([]string, len(raw))}
+	for i, c := range raw {
+		s.clouds[i] = transfer.Observe(c, prober, tcfg)
+		s.names[i] = c.Name()
+	}
+	sort.Strings(s.names)
+	s.engine = transfer.New(s.clouds, prober, tcfg)
+	// LazyBase: the client never needs the store's full-image encode
+	// on commits that don't rotate — with event-driven passes the
+	// commit rate goes up and the per-commit cost must stay
+	// O(changes), not O(folder).
+	s.store = deltasync.New(s.clouds, cipher, deltasync.Config{
+		Device: cfg.Device, LazyBase: true, Obs: cfg.Obs,
+	})
+	s.locks = qlock.New(s.clouds, qlock.Config{
+		Device: cfg.Device,
+		Expiry: cfg.LockExpiry,
+		Clock:  cfg.Clock,
+		Obs:    cfg.Obs,
+		Health: cfg.Health,
+	})
+	return s, nil
 }
 
 // Params returns the client's placement parameters.
@@ -370,16 +373,6 @@ func (c *Client) Health() *health.Tracker { return c.cfg.Health }
 // Capacity returns the client's quota-exhaustion tracker (nil when
 // none was configured).
 func (c *Client) Capacity() *capacity.Tracker { return c.cfg.Capacity }
-
-// healthGate adapts an optional tracker to qlock's Health interface;
-// a plain nil-tracker assignment would produce a non-nil interface
-// holding a nil pointer.
-func healthGate(t *health.Tracker) qlock.Health {
-	if t == nil {
-		return nil
-	}
-	return t
-}
 
 // Image returns a deep copy of the device's current view of the
 // committed metadata.

@@ -96,9 +96,10 @@ func (c *Client) TrimOverProvisioned(ctx context.Context) (int, error) {
 // share — from the full clouds only, committing the reduced
 // placements first. Fair-share blocks and every block on a cloud with
 // space are untouched, so no segment loses redundancy it is entitled
-// to; the freed bytes flow through the capacity observer and reopen
-// the cloud for a probe. It returns the number of blocks deleted, 0
-// without work (no tracker, nothing Full, nothing over-provisioned).
+// to; the freed bytes reach the quota tracker through the cloud-call
+// wrapper and reopen the cloud for a probe. It returns the number of
+// blocks deleted, 0 without work (no tracker, nothing Full, nothing
+// over-provisioned).
 func (c *Client) RelieveCapacityPressure(ctx context.Context) (int, error) {
 	tracker := c.cfg.Capacity
 	if !tracker.AnyFull() {

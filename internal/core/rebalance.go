@@ -7,13 +7,9 @@ import (
 	"time"
 
 	"unidrive/internal/cloud"
-	"unidrive/internal/deltasync"
 	"unidrive/internal/erasure"
 	"unidrive/internal/meta"
-	"unidrive/internal/metacrypt"
-	"unidrive/internal/qlock"
 	"unidrive/internal/sched"
-	"unidrive/internal/transfer"
 )
 
 // SetClouds changes the client's cloud set (paper §6.2, "Adding or
@@ -30,20 +26,24 @@ func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) err
 	if len(newClouds) == 0 {
 		return fmt.Errorf("core: cannot rebalance to zero clouds")
 	}
-	newNames := make([]string, len(newClouds))
-	byName := make(map[string]cloud.Interface, len(newClouds))
-	for i, cl := range newClouds {
-		newNames[i] = cl.Name()
-		byName[cl.Name()] = cl
-	}
-	sort.Strings(newNames)
-
 	newCfg := c.cfg
 	newCfg.Kr, newCfg.Ks = 0, 0 // re-derive for the new N
 	newCfg.fillDefaults(len(newClouds))
 	newParams := sched.Params{N: len(newClouds), K: newCfg.K, Kr: newCfg.Kr, Ks: newCfg.Ks}
 	if err := newParams.Validate(); err != nil {
 		return err
+	}
+	// The new set is built exactly like New builds it, so the rebalance
+	// traffic, the new store and everything after the switch go through
+	// the same observers.
+	stack, err := newCloudStack(newClouds, c.engine.Prober(), newCfg)
+	if err != nil {
+		return err
+	}
+	newNames := stack.names
+	byName := make(map[string]cloud.Interface, len(stack.clouds))
+	for _, cl := range stack.clouds {
+		byName[cl.Name()] = cl
 	}
 
 	lock, err := c.locks.Acquire(ctx)
@@ -105,16 +105,10 @@ func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) err
 		})
 	}
 
-	// Commit the new placements through a store over the NEW cloud
+	// Commit the new placements through the store over the NEW cloud
 	// set; its fetch adopts the latest state from the overlapping
 	// clouds, and its commit fully repairs brand-new ones.
-	cipher, err := metacrypt.New(c.cfg.CipherAlg, c.cfg.Passphrase)
-	if err != nil {
-		return err
-	}
-	newStore := deltasync.New(newClouds, cipher, deltasync.Config{
-		Device: c.cfg.Device, LazyBase: true, Obs: c.cfg.Obs,
-	})
+	newStore := stack.store
 	if _, err := newStore.Fetch(ctx); err != nil {
 		return err
 	}
@@ -127,28 +121,10 @@ func (c *Client) SetClouds(ctx context.Context, newClouds []cloud.Interface) err
 		}
 	}
 
-	// Switch the client over (wrapping the new clouds for in-channel
-	// probing like New does).
-	prober := c.engine.Prober()
-	probed := make([]cloud.Interface, len(newClouds))
-	for i, cl := range newClouds {
-		probed[i] = transfer.NewProbing(cl, prober, newCfg.Clock)
-	}
 	c.mu.Lock()
-	c.clouds = probed
-	c.names = newNames
+	c.cloudStack = stack
 	c.params = newParams
 	c.cfg = newCfg
-	c.engine = transfer.New(probed, prober, transfer.Config{
-		ConnsPerCloud: newCfg.ConnsPerCloud,
-		Clock:         newCfg.Clock,
-	})
-	c.store = newStore
-	c.locks = qlock.New(probed, qlock.Config{
-		Device: newCfg.Device,
-		Expiry: newCfg.LockExpiry,
-		Clock:  newCfg.Clock,
-	})
 	c.last = newStore.Cached()
 	c.mu.Unlock()
 	return nil

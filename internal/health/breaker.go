@@ -95,8 +95,8 @@ func (b *Breaker) Latency() float64 {
 
 // Allow reports whether a request may proceed. While half-open it
 // admits at most Config.HalfOpenProbes unreported probe requests;
-// every admission must be matched by a Report call (the Guard wrapper
-// pairs them).
+// every admission must be matched by a Report call (the client's
+// cloud wrapper, transfer.Observed, pairs them).
 func (b *Breaker) Allow() bool {
 	b.t.mu.Lock()
 	defer b.t.mu.Unlock()
@@ -140,10 +140,10 @@ func (b *Breaker) Report(err error, latency time.Duration) {
 
 // ReportCorrupt feeds one integrity failure into the breaker:
 // the cloud returned bytes that failed their checksum. Corruption is
-// detected above the Guard (the transfer engine compares content
-// against metadata), so unlike Report it is not paired with an Allow
-// admission and must not touch the half-open probe accounting — the
-// Guard already reported the transport-level success of the same
+// detected above the cloud wrapper (the transfer engine compares
+// content against metadata), so unlike Report it is not paired with an
+// Allow admission and must not touch the half-open probe accounting —
+// the wrapper already reported the transport-level success of the same
 // call. It counts as a plain (non-outage) failure: enough corrupt
 // answers trip the breaker exactly like enough request errors.
 func (b *Breaker) ReportCorrupt() {

@@ -11,9 +11,10 @@
 //	   ▲                                                 │
 //	   └──(probe successes)──────────────────────────────┘
 //
-// While a breaker is open, the Guard wrapper rejects requests locally
-// with cloud.ErrCircuitOpen instead of burning the retry budget
-// against a cloud that is known to be down; the transfer engine,
+// While a breaker is open, the client's cloud wrapper
+// (transfer.Observed) rejects requests locally with
+// cloud.ErrCircuitOpen instead of burning the retry budget against a
+// cloud that is known to be down; the transfer engine,
 // scheduler and quorum lock treat such a cloud as an outage and route
 // around it. Half-open admits a bounded number of probe requests;
 // enough consecutive probe successes close the breaker again.
@@ -29,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"unidrive/internal/cloud"
 	"unidrive/internal/obs"
 	"unidrive/internal/stats"
 	"unidrive/internal/vclock"
@@ -122,7 +122,9 @@ func (c *Config) fillDefaults() {
 // Tracker holds one Breaker per cloud, created lazily on first use.
 // A single Tracker is shared by the whole client stack so the
 // transfer engine, scheduler and lock protocol all see the same
-// picture of each cloud's health.
+// picture of each cloud's health. A nil *Tracker is valid for the
+// read-side queries (Admits, Healthiest, ReportCorrupt): every cloud
+// admits and no evidence is kept — the health layer off.
 type Tracker struct {
 	cfg Config
 
@@ -180,8 +182,12 @@ func (t *Tracker) breakerLocked(cloudName string) *Breaker {
 // Admits reports whether the named cloud is currently worth planning
 // work on: its breaker is closed, or half-open (probes may flow).
 // Unlike Allow, Admits does not consume a probe slot — schedulers use
-// it to filter candidates, the Guard uses Allow to gate real calls.
+// it to filter candidates, the cloud wrapper uses Allow to gate real
+// calls.
 func (t *Tracker) Admits(cloudName string) bool {
+	if t == nil {
+		return true
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	b := t.breakerLocked(cloudName)
@@ -192,7 +198,11 @@ func (t *Tracker) Admits(cloudName string) bool {
 // Healthiest filters candidates down to admitted clouds and orders
 // them best-first: closed before half-open, then by EWMA error rate,
 // then by EWMA latency, with the name as the deterministic tiebreak.
+// A nil tracker returns candidates unchanged.
 func (t *Tracker) Healthiest(candidates []string) []string {
+	if t == nil {
+		return candidates
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]string, 0, len(candidates))
@@ -227,11 +237,8 @@ func (t *Tracker) Healthiest(candidates []string) []string {
 // ReportCorrupt feeds one integrity failure for the named cloud into
 // its breaker (see Breaker.ReportCorrupt).
 func (t *Tracker) ReportCorrupt(cloudName string) {
+	if t == nil {
+		return
+	}
 	t.Breaker(cloudName).ReportCorrupt()
-}
-
-// Wrap returns inner guarded by this tracker: every call is gated on
-// the breaker's Allow and its outcome fed back via Report.
-func (t *Tracker) Wrap(inner cloud.Interface) *Guard {
-	return &Guard{inner: inner, breaker: t.Breaker(inner.Name()), clock: t.cfg.Clock}
 }

@@ -2,13 +2,11 @@ package health
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"unidrive/internal/cloud"
-	"unidrive/internal/cloudsim"
 	"unidrive/internal/obs"
 	"unidrive/internal/vclock"
 )
@@ -230,96 +228,16 @@ func TestTrackerAdmitsAndHealthiest(t *testing.T) {
 	}
 }
 
-func TestGuardFailsFastAndReports(t *testing.T) {
-	clk := vclock.NewManual(time.Unix(0, 0))
-	reg := obs.NewRegistry()
-	tr := testTracker(clk, reg)
-
-	store := cloudsim.NewStore("c0", 0)
-	flaky := cloudsim.NewFlaky(cloudsim.NewDirect(store), 0, 1)
-	rec := cloudsim.NewRecorder(flaky)
-	g := tr.Wrap(rec)
-	ctx := context.Background()
-
-	if g.Name() != "c0" {
-		t.Fatalf("Name = %q", g.Name())
+func TestNilTrackerAdmitsEverything(t *testing.T) {
+	var tr *Tracker
+	if !tr.Admits("c0") {
+		t.Error("nil tracker should admit every cloud")
 	}
-	if err := g.Upload(ctx, "f", []byte("hello")); err != nil {
-		t.Fatalf("upload through closed breaker: %v", err)
+	cands := []string{"c1", "c0"}
+	if got := tr.Healthiest(cands); len(got) != 2 || got[0] != "c1" || got[1] != "c0" {
+		t.Errorf("nil tracker Healthiest = %v, want the candidates unchanged", got)
 	}
-	data, err := g.Download(ctx, "f")
-	if err != nil || string(data) != "hello" {
-		t.Fatalf("download = %q, %v", data, err)
-	}
-
-	// Outage: the first unavailable error trips the breaker...
-	flaky.SetDown(true)
-	if err := g.Upload(ctx, "g", []byte("x")); !errors.Is(err, cloud.ErrUnavailable) {
-		t.Fatalf("err = %v, want ErrUnavailable", err)
-	}
-	if g.State() != Open {
-		t.Fatalf("state = %v, want Open", g.State())
-	}
-	callsBefore := rec.Counts().Total()
-
-	// ...and every further call fails fast without touching the cloud.
-	for i := 0; i < 5; i++ {
-		if err := g.Upload(ctx, "g", []byte("x")); !errors.Is(err, cloud.ErrCircuitOpen) {
-			t.Fatalf("err = %v, want ErrCircuitOpen", err)
-		}
-	}
-	if _, err := g.Download(ctx, "f"); !errors.Is(err, cloud.ErrCircuitOpen) {
-		t.Fatalf("download err = %v, want ErrCircuitOpen", err)
-	}
-	if _, err := g.List(ctx, ""); !errors.Is(err, cloud.ErrCircuitOpen) {
-		t.Fatalf("list err = %v, want ErrCircuitOpen", err)
-	}
-	if err := g.CreateDir(ctx, "d"); !errors.Is(err, cloud.ErrCircuitOpen) {
-		t.Fatalf("createdir err = %v, want ErrCircuitOpen", err)
-	}
-	if err := g.Delete(ctx, "g"); !errors.Is(err, cloud.ErrCircuitOpen) {
-		t.Fatalf("delete err = %v, want ErrCircuitOpen", err)
-	}
-	if got := rec.Counts().Total(); got != callsBefore {
-		t.Fatalf("open breaker leaked %d calls to the cloud", got-callsBefore)
-	}
-	if n := reg.Counter("health.breaker.c0.rejected").Value(); n != 9 {
-		t.Errorf("rejected counter = %d, want 9", n)
-	}
-	if n := reg.Counter("health.breaker.c0.opened").Value(); n != 1 {
-		t.Errorf("opened counter = %d, want 1", n)
-	}
-
-	// Recovery: cooldown elapses, the cloud comes back, and probe
-	// successes close the breaker again.
-	flaky.SetDown(false)
-	advancePastCooldown(clk)
-	for i := 0; i < 2; i++ {
-		if err := g.Upload(ctx, "h", []byte("y")); err != nil {
-			t.Fatalf("probe upload %d: %v", i, err)
-		}
-	}
-	if g.State() != Closed {
-		t.Fatalf("state after probes = %v, want Closed", g.State())
-	}
-	if n := reg.Counter("health.breaker.c0.closed").Value(); n != 1 {
-		t.Errorf("closed counter = %d, want 1", n)
-	}
-	if n := reg.Counter("health.breaker.c0.half_opened").Value(); n != 1 {
-		t.Errorf("half_opened counter = %d, want 1", n)
-	}
-	if v := reg.Gauge("health.breaker.c0.state").Value(); v != float64(Closed) {
-		t.Errorf("state gauge = %v, want %v", v, float64(Closed))
-	}
-}
-
-func TestGuardUnwrap(t *testing.T) {
-	tr := NewDefaultTracker(vclock.Real{}, 1, nil)
-	inner := cloudsim.NewDirect(cloudsim.NewStore("c0", 0))
-	g := tr.Wrap(inner)
-	if g.Unwrap() != cloud.Interface(inner) {
-		t.Error("Unwrap should return the wrapped connector")
-	}
+	tr.ReportCorrupt("c0") // must not panic
 }
 
 func TestStateString(t *testing.T) {

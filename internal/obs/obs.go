@@ -1,7 +1,8 @@
 // Package obs is UniDrive's observability layer: a dependency-free
 // metrics core (atomic counters, gauges, fixed-bucket latency
-// histograms) plus a cloud.Interface instrumenting wrapper that turns
-// every Web API call into a row of a per-cloud operation table.
+// histograms) plus a per-cloud operation table, into which the
+// client's cloud-call wrapper (transfer.Observed) records every Web
+// API call as one row.
 //
 // The paper's scheduling decisions are driven entirely by observed
 // per-cloud performance (§4.3, §6.2: in-channel probing, bandwidth

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -19,8 +18,6 @@ func TestConcurrentRecording(t *testing.T) {
 		workers = 2
 	}
 	r := NewRegistry()
-	fc := &fakeCloud{name: "c", data: []byte("abc")}
-	in := Instrument(fc, r, nil)
 
 	stop := make(chan struct{})
 	var snaps sync.WaitGroup
@@ -43,13 +40,11 @@ func TestConcurrentRecording(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := context.Background()
 			for i := 0; i < perG; i++ {
 				r.Counter("shared").Inc()
 				r.Gauge("g").Add(1)
 				r.Histogram("h").Observe(0.005)
 				r.Op("c", OpUpload).Record(OK, 1, 0, time.Millisecond)
-				_ = in.Upload(ctx, "f", []byte("x"))
 			}
 		}()
 	}
@@ -72,12 +67,11 @@ func TestConcurrentRecording(t *testing.T) {
 	if !ok {
 		t.Fatal("op row missing")
 	}
-	// perG direct Records plus perG instrumented uploads per worker.
-	if got := row.Outcome(OK); got != 2*total {
-		t.Errorf("op ok = %d, want %d", got, 2*total)
+	if got := row.Outcome(OK); got != total {
+		t.Errorf("op ok = %d, want %d", got, total)
 	}
-	if row.BytesUp != 2*total { // 1 byte each, both paths
-		t.Errorf("bytesUp = %d, want %d", row.BytesUp, 2*total)
+	if row.BytesUp != total { // 1 byte each
+		t.Errorf("bytesUp = %d, want %d", row.BytesUp, total)
 	}
 }
 

@@ -17,10 +17,11 @@ import (
 	"unidrive/internal/vclock"
 )
 
-// guardedRig is a directRig variant with the full resilience stack
-// per cloud: Guard(Recorder(Flaky(Direct))). The Recorder sits inside
-// the Guard, so breaker rejections never reach it — its counts are
-// exactly the requests that went out to the (simulated) network.
+// guardedRig is a directRig variant with a breaker per cloud:
+// Observed(Recorder(Flaky(Direct))) with only Health set. The Recorder
+// sits inside the wrapper, so breaker rejections never reach it — its
+// counts are exactly the requests that went out to the (simulated)
+// network.
 type guardedRig struct {
 	stores  []*cloudsim.Store
 	flaky   []*cloudsim.Flaky
@@ -49,7 +50,7 @@ func newGuardedRig(t *testing.T, n int, cfg Config) *guardedRig {
 		r.flaky = append(r.flaky, fl)
 		r.recs = append(r.recs, rec)
 		r.names = append(r.names, st.Name())
-		clouds = append(clouds, r.tracker.Wrap(rec))
+		clouds = append(clouds, Observe(rec, nil, Config{Health: r.tracker}))
 	}
 	cfg.Health = r.tracker
 	cfg.Obs = r.reg

@@ -36,7 +36,9 @@ const DefaultBlockDir = ".unidrive/blocks"
 // up to 5 connections to each cloud").
 const DefaultConnsPerCloud = 5
 
-// Config parametrizes an Engine.
+// Config parametrizes an Engine. Observe reads its Clock, Obs,
+// Health and Capacity too, so one Config serves a client's wrapped
+// clouds and its engine.
 type Config struct {
 	// ConnsPerCloud is the maximum concurrent transfers per cloud.
 	ConnsPerCloud int
@@ -301,19 +303,6 @@ func (e *Engine) retryPolicy() cloud.RetryPolicy {
 	return p
 }
 
-// admits reports whether the health tracker (if any) currently admits
-// traffic to the cloud.
-func (e *Engine) admits(name string) bool {
-	return e.cfg.Health == nil || e.cfg.Health.Admits(name)
-}
-
-// admitsUploads reports whether the capacity tracker (if any)
-// currently admits NEW upload work to the cloud. Downloads never
-// consult it. (A nil *capacity.Tracker admits everything.)
-func (e *Engine) admitsUploads(name string) bool {
-	return e.cfg.Capacity.Admits(name)
-}
-
 // markOutcome updates failure streaks; it returns true when the cloud
 // should be excluded from the plan. A circuit-breaker rejection means
 // the health layer already judged the cloud down — exclude it without
@@ -410,14 +399,11 @@ func (e *Engine) UploadBatch(ctx context.Context, items []UploadItem, stop func(
 	liveTargets := func(except string) []string {
 		live := make([]string, 0, len(e.names))
 		for _, n := range e.names {
-			if n != except && !d.dead[n] && !d.full[n] && e.admits(n) {
+			if n != except && !d.dead[n] && !d.full[n] && e.cfg.Health.Admits(n) {
 				live = append(live, n)
 			}
 		}
-		if e.cfg.Health != nil {
-			live = e.cfg.Health.Healthiest(live)
-		}
-		return e.cfg.Capacity.WithSpace(live)
+		return e.cfg.Capacity.WithSpace(e.cfg.Health.Healthiest(live))
 	}
 	// requeueOn makes every item findable again on the given clouds'
 	// queues after blocks were re-planned onto them.
@@ -482,14 +468,14 @@ func (e *Engine) UploadBatch(ctx context.Context, items []UploadItem, stop func(
 			if d.dead[name] || d.full[name] {
 				continue
 			}
-			if !e.admits(name) {
+			if !e.cfg.Health.Admits(name) {
 				// Open breaker: route this cloud's blocks elsewhere
 				// instead of queuing work it would only reject.
 				reg.Counter("transfer.up.breaker_routed").Inc()
 				failover(name)
 				continue
 			}
-			if !e.admitsUploads(name) {
+			if !e.cfg.Capacity.Admits(name) {
 				// The capacity tracker already knows this cloud is full
 				// (an earlier batch, or another subsystem, hit its
 				// quota): route its blocks to clouds with space instead
@@ -845,7 +831,7 @@ func (e *Engine) DownloadBatch(ctx context.Context, items []DownloadItem) ([]map
 			if d.dead[name] {
 				continue
 			}
-			if !e.admits(name) {
+			if !e.cfg.Health.Admits(name) {
 				// Open breaker: treat like an outage for this batch so
 				// the plans reroute its blocks to other holders.
 				reg.Counter("transfer.down.breaker_routed").Inc()
@@ -913,12 +899,9 @@ func (e *Engine) DownloadBatch(ctx context.Context, items []DownloadItem) ([]map
 			}
 			f.hedged = true
 			placed := false
-			cands := items[key.item].Plan.HedgeCandidates(key.blockID)
-			if e.cfg.Health != nil {
-				cands = e.cfg.Health.Healthiest(cands)
-			}
+			cands := e.cfg.Health.Healthiest(items[key.item].Plan.HedgeCandidates(key.blockID))
 			for _, spare := range cands {
-				if d.dead[spare] || d.idle[spare] <= 0 || !e.admits(spare) {
+				if d.dead[spare] || d.idle[spare] <= 0 || !e.cfg.Health.Admits(spare) {
 					continue
 				}
 				// Hedges take spare shared capacity opportunistically:
@@ -1034,9 +1017,7 @@ func (e *Engine) DownloadBatch(ctx context.Context, items []DownloadItem) ([]map
 				// stays open (f.done unset): a hedged twin may still
 				// deliver a good copy.
 				reg.Counter("transfer.down.corrupt_blocks").Inc()
-				if e.cfg.Health != nil {
-					e.cfg.Health.ReportCorrupt(r.cloudName)
-				}
+				e.cfg.Health.ReportCorrupt(r.cloudName)
 				plan.NoteCorrupt()
 				r.err = fmt.Errorf("transfer: block %s from %s: %w",
 					meta.BlockName(items[r.item].SegID, r.blockID), r.cloudName, cloud.ErrCorrupt)

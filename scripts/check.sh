@@ -13,11 +13,8 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (data plane, obs, qlock, core, health, journal, localfs, deltasync, daemon, trial, netsim, scrub, capacity)"
-go test -race ./internal/erasure/... ./internal/gf256/... ./internal/transfer/... \
-	./internal/obs/... ./internal/qlock/... ./internal/core/... ./internal/health/... \
-	./internal/journal/... ./internal/localfs/... ./internal/deltasync/... \
-	./internal/daemon/... ./internal/trial/... ./internal/netsim/... ./internal/scrub/... \
-	./internal/capacity/...
+echo "== go test -race (the packages in scripts/race-packages)"
+# shellcheck disable=SC2046 # one word per package
+go test -race $(cat scripts/race-packages)
 
 echo "OK"
